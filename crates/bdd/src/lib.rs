@@ -1,14 +1,14 @@
 //! Hash-consed ROBDD engine with complement edges.
 //!
-//! Every exact tier in the pipeline — truth tables, corner signatures,
-//! the synthesis signature — materializes all `2^t` rows of a boolean
-//! function, so pure-bitwise subterms with more than
-//! `TruthTable::MAX_VARS` variables fall through to heuristics and the
-//! fuzz oracles lose their exact comparator. Reduced ordered binary
-//! decision diagrams keep canonicity without enumerating rows: node
-//! count tracks the function's structure, not `2^t`, so canonical forms
-//! and exact equivalence stay cheap well past the truth-table cap for
-//! the shapes MBA obfuscation produces.
+//! Every exact tier in the pipeline — truth tables, corner signatures —
+//! materializes all `2^t` rows of a boolean function, so pure-bitwise
+//! subterms with more than `TruthTable::MAX_VARS` variables fall
+//! through to heuristics and the fuzz oracles lose their exact
+//! comparator. Reduced ordered binary decision diagrams keep canonicity
+//! without enumerating rows: node count tracks the function's
+//! structure, not `2^t`, so canonical forms and exact equivalence stay
+//! cheap well past the truth-table cap for the shapes MBA obfuscation
+//! produces.
 //!
 //! The engine follows the interning-arena discipline of
 //! `mba_expr::arena`:

@@ -31,17 +31,6 @@
 //! report and, via [`mba_sig::publish_arena_metrics`], in the obs
 //! registry.
 //!
-//! A final synthesis-tier section measures the candidate-evaluation
-//! engine (wide [`EvalProgram::eval_bits_wide`] blocks of 256 rows vs
-//! four narrow `eval_bits` passes over the same candidate-sized tapes:
-//! `synth_{narrow,wide}_rows_per_s`, `synth_wide_speedup`) and runs the
-//! full simplifier over a residual corpus — parity opaque zeros the
-//! algebraic tiers cannot cancel — reporting the `synth.*` counter
-//! deltas, `synth_candidates_per_s`, and the recovery rate: the
-//! fraction of corpus entries the algebraic pipeline left unreduced
-//! (synthesis off) for which the synthesis tier found a strictly
-//! smaller equivalent.
-//!
 //! A BDD section sweeps `t = 8..=16` independently of `--max-vars`:
 //! per `t` it times the ROBDD canonicalization route (Expr → BDD →
 //! Expr, [`mba_bdd::canonicalize`]) in truth-table-equivalent rows/sec
@@ -54,11 +43,8 @@
 //! The binary exits non-zero if the engine counters report zero tape
 //! compiles — i.e. if the bit-parallel path silently stopped being
 //! exercised — if the simplifier pass records a zero fast-path hit
-//! rate, if the arena records zero interning hits, if the wide
-//! candidate evaluator fails to beat the narrow interpreter by 2x, if
-//! the synthesis pass records no accepted substitution, if the
-//! residual recovery rate falls below 30%, if the BDD sweep records
-//! zero canonicalizations, or if the BDD column fails to post a
+//! rate, if the arena records zero interning hits, if the BDD sweep
+//! records zero canonicalizations, or if the BDD column fails to post a
 //! positive finite rate at `t = 12` (the last size the truth-table
 //! tiers can still reach).
 
@@ -66,14 +52,12 @@ use std::time::Instant;
 
 use mba_bdd::{bdd_stats, publish_bdd_metrics};
 use mba_bench::report::BenchReport;
-use mba_expr::{BinOp, EvalProgram, Expr, ExprArena, Ident, UnOp, WIDE_LANES};
-use mba_gen::{Corpus, CorpusConfig};
+use mba_expr::{BinOp, EvalProgram, Expr, ExprArena, Ident, UnOp};
 use mba_sig::{
     publish_arena_metrics, publish_eval_engine_metrics, simba, SigCache, SignatureVector,
     TruthTable,
 };
-use mba_solver::{Simplifier, SimplifyConfig};
-use mba_synth::{publish_synth_metrics, synth_stats};
+use mba_solver::Simplifier;
 
 /// Bench-local knobs (the shared [`mba_bench::ExperimentConfig`] flags
 /// are corpus-oriented and do not fit a microbenchmark).
@@ -504,155 +488,12 @@ fn main() {
     report.push_float("interning_hit_rate", interning_hit_rate);
     report.push_int("arena_bytes", arena_stats.bytes);
 
-    // ── Synthesis tier ──────────────────────────────────────────────
-    //
-    // Candidate-evaluation microbench: the enumerator's pools hold
-    // candidate tapes of a handful of ops, so per-call overhead (stack
-    // alloc, counter bumps) is a real fraction of each pass. The wide
-    // interpreter amortizes it over 4 lanes — 256 truth-table rows per
-    // call against `eval_bits`' 64 — and its inner loops
-    // autovectorize. Both paths cover the same 256 rows per candidate
-    // so the rows/s columns are directly comparable.
-    println!("\nSynthesis candidate evaluation: narrow (64-row) vs wide (256-row) passes");
-    let candidates: Vec<Expr> = [
-        "x", "~x", "x&y", "x^y", "x+y", "x*y+z", "~(x&y)^z", "x+y+z", "(x|y)&~z", "x*(y+z)",
-    ]
-    .iter()
-    .map(|s| s.parse().expect("candidate parses"))
-    .collect();
-    let programs: Vec<EvalProgram> = candidates.iter().map(EvalProgram::compile).collect();
-    let blocks: Vec<Vec<[u64; WIDE_LANES]>> = programs
-        .iter()
-        .map(|p| {
-            (0..p.vars().len())
-                .map(|i| {
-                    let mut b = [0u64; WIDE_LANES];
-                    for (w, lane) in b.iter_mut().enumerate() {
-                        *lane = 0x9e37_79b9_7f4a_7c15u64
-                            .wrapping_mul((i as u64 + 1) * 7 + w as u64 + 1);
-                    }
-                    b
-                })
-                .collect()
-        })
-        .collect();
-    // The narrow path sees the same rows, one 64-row lane at a time.
-    let lanes: Vec<Vec<Vec<u64>>> = blocks
-        .iter()
-        .map(|bs| {
-            (0..WIDE_LANES)
-                .map(|w| bs.iter().map(|b| b[w]).collect())
-                .collect()
-        })
-        .collect();
-    for (p, (b, ls)) in programs.iter().zip(blocks.iter().zip(&lanes)) {
-        let wide = p.eval_bits_wide(b);
-        for (w, lane) in ls.iter().enumerate() {
-            assert_eq!(wide[w], p.eval_bits(lane), "wide and narrow rows diverge");
-        }
-    }
-    let eval_iters = config.repeats * 40_000;
-    let synth_rows = (eval_iters * candidates.len() * 64 * WIDE_LANES) as f64;
-    let start = Instant::now();
-    for _ in 0..eval_iters {
-        for (p, ls) in programs.iter().zip(&lanes) {
-            for lane in ls {
-                std::hint::black_box(p.eval_bits(lane));
-            }
-        }
-    }
-    let narrow_rows_per_s = synth_rows / start.elapsed().as_secs_f64().max(1e-9);
-    let start = Instant::now();
-    for _ in 0..eval_iters {
-        for (p, b) in programs.iter().zip(&blocks) {
-            std::hint::black_box(p.eval_bits_wide(b));
-        }
-    }
-    let wide_rows_per_s = synth_rows / start.elapsed().as_secs_f64().max(1e-9);
-    let wide_speedup = wide_rows_per_s / narrow_rows_per_s.max(1e-9);
-    println!(
-        "narrow {narrow_rows_per_s:>16.0} rows/s   wide {wide_rows_per_s:>16.0} rows/s   {wide_speedup:.1}x"
-    );
-    report.push_float("synth_narrow_rows_per_s", narrow_rows_per_s);
-    report.push_float("synth_wide_rows_per_s", wide_rows_per_s);
-    report.push_float("synth_wide_speedup", wide_speedup);
-
-    // Residual corpus: small ground truths wrapped in parity opaque
-    // zeros ((q·(q+1)) ∧ 1 ≡ 0) that the algebraic tiers cannot cancel.
-    // The synthesis-off pass establishes the baseline the recovery rate
-    // is measured against; the timed synthesis-on pass supplies the
-    // `synth.*` counter deltas and candidates/sec.
-    let residual = Corpus::generate_residual(&CorpusConfig {
-        seed: 0xC0FF_EE00,
-        per_category: 48,
-    });
-    let nosynth_simplifier = Simplifier::with_config(SimplifyConfig {
-        use_synthesis: false,
-        ..SimplifyConfig::default()
-    });
-    let baselines: Vec<Expr> = residual
-        .samples()
-        .iter()
-        .map(|s| nosynth_simplifier.simplify(&s.obfuscated))
-        .collect();
-    let synth_before = synth_stats();
-    let synth_simplifier = Simplifier::new();
-    let start = Instant::now();
-    let synthesized: Vec<Expr> = residual
-        .samples()
-        .iter()
-        .map(|s| synth_simplifier.simplify(&s.obfuscated))
-        .collect();
-    let synth_elapsed = start.elapsed().as_secs_f64();
-    let synth_delta = synth_stats().since(&synth_before);
-    let candidates_per_s = synth_delta.candidates as f64 / synth_elapsed.max(1e-9);
-
-    let mut unreduced = 0u64;
-    let mut recovered = 0u64;
-    for ((sample, base), full) in residual.samples().iter().zip(&baselines).zip(&synthesized) {
-        if base.node_count() > sample.ground_truth.node_count() {
-            unreduced += 1;
-            if full.node_count() < base.node_count() {
-                recovered += 1;
-            }
-        }
-    }
-    let recovery_rate = recovered as f64 / (unreduced.max(1)) as f64;
-    println!(
-        "residual corpus: {} cases, {} left unreduced by the algebraic tiers, {} recovered ({:.0}%)",
-        residual.samples().len(),
-        unreduced,
-        recovered,
-        100.0 * recovery_rate
-    );
-    println!(
-        "synthesis: {} attempts, {} hits, {} fallbacks, {} candidates ({:.0} candidates/s, {} budget-exhausted)",
-        synth_delta.attempts,
-        synth_delta.hits,
-        synth_delta.fallbacks,
-        synth_delta.candidates,
-        candidates_per_s,
-        synth_delta.budget_exhausted
-    );
-    report.push_int("synth_residual_cases", residual.samples().len() as u64);
-    report.push_int("synth_residual_unreduced", unreduced);
-    report.push_int("synth_residual_recovered", recovered);
-    report.push_float("synth_recovery_rate", recovery_rate);
-    report.push_int("synth_attempts", synth_delta.attempts);
-    report.push_int("synth_hits", synth_delta.hits);
-    report.push_int("synth_fallbacks", synth_delta.fallbacks);
-    report.push_int("synth_candidates", synth_delta.candidates);
-    report.push_int("synth_budget_exhausted", synth_delta.budget_exhausted);
-    report.push_float("synth_hit_rate", synth_delta.hit_rate());
-    report.push_float("synth_candidates_per_s", candidates_per_s);
-
     // Engine counters, via the same obs bridge the pipeline publishes
     // through. A zero here means the bit-parallel path was never taken
     // and every "batch" number above actually measured something else.
     let registry = mba_obs::MetricsRegistry::new();
     publish_eval_engine_metrics(&registry);
     publish_arena_metrics(simplifier.arena(), &registry);
-    publish_synth_metrics(&registry);
     publish_bdd_metrics(&registry);
     let snapshot = registry.snapshot();
     let tape_compiles = snapshot.gauge("eval.tape_compiles");
@@ -678,26 +519,6 @@ fn main() {
     }
     if arena_stats.interned_hits < 1 {
         eprintln!("arena reports zero interning hits: hash-consing not exercised");
-        std::process::exit(1);
-    }
-    if !wide_speedup.is_finite() || wide_speedup < 2.0 {
-        eprintln!("wide candidate evaluator is only {wide_speedup:.2}x the narrow interpreter (need 2x)");
-        std::process::exit(1);
-    }
-    if synth_delta.hits < 1 {
-        eprintln!("synthesis pass accepted zero substitutions on the residual corpus");
-        std::process::exit(1);
-    }
-    if !candidates_per_s.is_finite() || candidates_per_s <= 0.0 {
-        eprintln!("synth_candidates_per_s is not a positive finite number: {candidates_per_s}");
-        std::process::exit(1);
-    }
-    if recovery_rate < 0.30 {
-        eprintln!(
-            "synthesis recovered only {recovered}/{unreduced} residual cases \
-             ({:.0}%, need 30%)",
-            100.0 * recovery_rate
-        );
         std::process::exit(1);
     }
     if bdd_delta.canonicalizations < 1 {

@@ -3,7 +3,7 @@
 //! Reads MBA expressions (arguments, or stdin one per line) and prints
 //! the simplified form. With `--verbose`, also prints the category, the
 //! alternation reduction, and the tier that produced the result
-//! (`linear`, `semi-linear`, `poly`, `synthesis`, or `unchanged`).
+//! (`linear`, `semi-linear`, `poly`, or `unchanged`).
 //!
 //! ```text
 //! $ mba_simplify '2*(x|y) - (~x&y) - (x&~y)'
@@ -22,7 +22,6 @@ fn main() -> ExitCode {
     let mut verbose = false;
     let mut jobs: Option<usize> = None;
     let mut use_cache = true;
-    let mut use_synthesis = true;
     let mut inputs: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -39,15 +38,11 @@ fn main() -> ExitCode {
                 }
             }
             "--no-cache" => use_cache = false,
-            "--no-synthesis" => use_synthesis = false,
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: mba_simplify [--verbose] [--jobs N] [--no-cache] [--no-synthesis] [EXPR ...]"
-                );
+                eprintln!("usage: mba_simplify [--verbose] [--jobs N] [--no-cache] [EXPR ...]");
                 eprintln!("reads expressions from stdin when no EXPR is given");
                 eprintln!("  --jobs N         simplify inputs on N parallel workers");
                 eprintln!("  --no-cache       disable the lookup table and signature cache");
-                eprintln!("  --no-synthesis   disable the enumerative synthesis tier");
                 return ExitCode::SUCCESS;
             }
             other => inputs.push(other.to_string()),
@@ -69,7 +64,6 @@ fn main() -> ExitCode {
 
     let simplifier = Simplifier::with_config(SimplifyConfig {
         use_cache,
-        use_synthesis,
         ..SimplifyConfig::default()
     });
     // Parse everything first (reporting failures as they appear), then

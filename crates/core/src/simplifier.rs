@@ -28,11 +28,7 @@ use crate::pipeline::Pipeline;
 ///   and the semi-linear group-mask tier (fires inside `poly_reduce`,
 ///   like the signature/basis spans it replaces on a hit);
 /// * `core.stage.rewrite.micros` — the structural peephole pass;
-/// * `core.stage.final_fold.micros` — the §4.5 final-step bitwise fold;
-/// * `core.stage.synth.micros` — the enumerative synthesis tier (fires
-///   once per result whose final form is still polynomial or
-///   non-polynomial, covering pool lookup plus the first-use pool
-///   build).
+/// * `core.stage.final_fold.micros` — the §4.5 final-step bitwise fold.
 ///
 /// Counters under `core.result.*` are pure functions of the simplified
 /// results (and, for `core.result.class.*`, of the *inputs*), so they
@@ -51,7 +47,6 @@ pub(crate) struct StageMetrics {
     poly_reduce: Arc<Histogram>,
     rewrite: Arc<Histogram>,
     final_fold: Arc<Histogram>,
-    synth: Arc<Histogram>,
     result_exprs: Arc<Counter>,
     result_rounds: Arc<Counter>,
     result_bailouts: Arc<Counter>,
@@ -73,7 +68,6 @@ impl StageMetrics {
             poly_reduce: registry.histogram("core.stage.poly_reduce.micros"),
             rewrite: registry.histogram("core.stage.rewrite.micros"),
             final_fold: registry.histogram("core.stage.final_fold.micros"),
-            synth: registry.histogram("core.stage.synth.micros"),
             result_exprs: registry.counter("core.result.exprs"),
             result_rounds: registry.counter("core.result.rounds"),
             result_bailouts: registry.counter("core.result.bailouts"),
@@ -151,16 +145,6 @@ pub enum InjectedBug {
     /// so it only fires when [`SimplifyConfig::use_arena`] is set, and
     /// the arena-off differential path is immune by construction.
     ArenaStaleId,
-    /// Makes the synthesis tier accept its candidate **without any
-    /// probe check**: the first enumerated expression whose *width-1
-    /// truth table* matches the target's is substituted outright —
-    /// exactly the unsound shortcut a signature-only matcher would
-    /// take. Since `x^y` and `x+y` share a width-1 table (and `^` is
-    /// enumerated first), an obfuscated addition demonstrably comes
-    /// back as an xor. Fires only when [`SimplifyConfig::use_synthesis`]
-    /// is set and the synthesis tier is reached; the probe re-verify it
-    /// skips is the tier's whole soundness argument.
-    SynthUnsoundAccept,
     /// Flips the complement flag on the root edge of the BDD tier's
     /// diagram *between build and extraction*, so the canonicalized
     /// subterm comes back as its bitwise complement — exactly the
@@ -206,16 +190,6 @@ pub struct SimplifyConfig {
     /// byte-identical either way (`tests/arena_differential.rs` holds
     /// this pinned).
     pub use_arena: bool,
-    /// Enable the enumerative synthesis tier (`mba-synth`): results the
-    /// algebraic pipeline leaves polynomial or non-polynomial are
-    /// looked up in a signature-deduplicated pool of small candidate
-    /// expressions, and a strictly simpler equivalent replaces the
-    /// result only after its complete width-1 truth table *and*
-    /// deterministic probe valuations at the request width agree. A
-    /// rejection is never result-changing, so outputs with the tier off
-    /// are byte-identical whenever the tier rejects
-    /// (`tests/synth_differential.rs` holds this pinned).
-    pub use_synthesis: bool,
     /// Enable the BDD canonicalization tier (`mba-bdd`): pure-bitwise
     /// subterms with more than `TruthTable::MAX_VARS` variables — too
     /// wide for any `2^t`-row tier — are canonicalized through a
@@ -228,14 +202,6 @@ pub struct SimplifyConfig {
     /// behaviour byte-identically (`Simplified::used_bdd` reports
     /// whether the tier influenced a result).
     pub use_bdd: bool,
-    /// Largest candidate node count the synthesis tier enumerates.
-    pub synth_max_nodes: usize,
-    /// Synthesis enumeration cap (per variable-set pool, checked per
-    /// candidate so truncation is deterministic).
-    pub synth_max_candidates: u64,
-    /// Wall-clock budget for one synthesis pool build, in milliseconds
-    /// (checked between node-count levels only).
-    pub synth_budget_ms: u64,
     /// Normalized basis selection (§7).
     pub basis: Basis,
     /// Testing-only fault injection for the verification subsystem; see
@@ -253,11 +219,7 @@ impl Default for SimplifyConfig {
             use_cache: true,
             use_simba: true,
             use_arena: true,
-            use_synthesis: true,
             use_bdd: true,
-            synth_max_nodes: 5,
-            synth_max_candidates: 20_000,
-            synth_budget_ms: 1000,
             basis: Basis::And,
             injected_bug: None,
         }
@@ -271,10 +233,9 @@ pub type SimplifyResult = Simplified;
 /// Which tier of the pipeline claimed a result (reported per result in
 /// the CLI's verbose output and the serving layer's diagnostics).
 ///
-/// The tag is derived deterministically: a synthesis acceptance wins
-/// outright; an output byte-identical to the input is `Unchanged`;
-/// otherwise the *input's* classification names the algebraic tier that
-/// handled it.
+/// The tag is derived deterministically: an output byte-identical to the
+/// input is `Unchanged`; otherwise the *input's* classification names
+/// the algebraic tier that handled it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimplifyTier {
     /// The linear pipeline (truth-table/basis solve or the SiMBA corner
@@ -284,7 +245,11 @@ pub enum SimplifyTier {
     SemiLinear,
     /// The polynomial/non-polynomial reduction pipeline.
     Poly,
-    /// The enumerative synthesis tier substituted a verified candidate.
+    /// Produced by nothing: the enumerative synthesis tier that emitted
+    /// it was removed because it accepted rewrites on probe evidence
+    /// alone. The variant stays only so the benchmark's tier table
+    /// (`e2ebench/`) keeps compiling, and goes in the next benchmark
+    /// change.
     Synthesis,
     /// No tier improved the input; the output is the input.
     Unchanged,
@@ -411,11 +376,6 @@ pub struct Simplifier {
     /// corpus — the cross-expression CSE the id-keyed signature cache
     /// exploits.
     arena: Arc<ExprArena>,
-    /// The enumerative synthesis engine, consulted when
-    /// [`SimplifyConfig::use_synthesis`] is set. Shared across batch
-    /// workers and adaptive sub-solvers so candidate pools are built
-    /// once per variable set for the whole corpus.
-    synth: Arc<mba_synth::Synthesizer>,
     /// Per-stage telemetry registry, shareable via
     /// [`Simplifier::with_metrics`] (the serving layer hands every
     /// simplifier its process-wide registry).
@@ -501,24 +461,16 @@ impl Simplifier {
         sig_cache: Arc<SigCache>,
         obs: Arc<MetricsRegistry>,
     ) -> Simplifier {
-        let synth = Arc::new(mba_synth::Synthesizer::new(mba_synth::SynthConfig {
-            width: config.width,
-            max_nodes: config.synth_max_nodes,
-            max_candidates: config.synth_max_candidates,
-            budget_ms: config.synth_budget_ms,
-        }));
-        Simplifier::with_parts(config, sig_cache, Arc::new(ExprArena::new()), synth, obs)
+        Simplifier::with_parts(config, sig_cache, Arc::new(ExprArena::new()), obs)
     }
 
     /// The fully-explicit constructor: every shared component handed in.
     /// Internal — adaptive sub-solvers use it to share their parent's
-    /// arena and synthesis pools alongside its signature cache and
-    /// registry.
+    /// arena alongside its signature cache and registry.
     fn with_parts(
         config: SimplifyConfig,
         sig_cache: Arc<SigCache>,
         arena: Arc<ExprArena>,
-        synth: Arc<mba_synth::Synthesizer>,
         obs: Arc<MetricsRegistry>,
     ) -> Simplifier {
         let stages = StageMetrics::resolve(&obs);
@@ -530,7 +482,6 @@ impl Simplifier {
             cache_misses: AtomicU64::new(0),
             sig_cache,
             arena,
-            synth,
             obs,
             stages,
         }
@@ -594,24 +545,10 @@ impl Simplifier {
         if self.config.final_step {
             current = self.final_step(&current);
         }
-        // The synthesis tier runs last, on the algebraic pipeline's
-        // residue: only results still classified polynomial or
-        // non-polynomial are eligible, and a rejection keeps `current`
-        // untouched (the tier is sound by construction — see
-        // `mba-synth`'s crate docs).
-        let mut synthesized = false;
-        if self.config.use_synthesis {
-            if let Some(better) = self.synthesis_step(&current) {
-                current = better;
-                synthesized = true;
-            }
-        }
         if let Some(bug) = self.config.injected_bug {
             current = apply_injected_bug(bug, &current);
         }
-        let tier = if synthesized {
-            SimplifyTier::Synthesis
-        } else if current == *e {
+        let tier = if current == *e {
             SimplifyTier::Unchanged
         } else {
             match input_class {
@@ -653,28 +590,6 @@ impl Simplifier {
             output_metrics: Metrics::of(&current),
             output: current,
             tier,
-        }
-    }
-
-    /// One synthesis query against the pipeline's final form. Gated on
-    /// the result still being polynomial/non-polynomial (anything the
-    /// algebraic tiers classify is theirs); variable-count and
-    /// node-count gates live inside the engine. Under the
-    /// [`InjectedBug::SynthUnsoundAccept`] fault injection the probe
-    /// checks are skipped — the corruption the verify harness must
-    /// catch.
-    fn synthesis_step(&self, e: &Expr) -> Option<Expr> {
-        if !matches!(
-            e.mba_class(),
-            MbaClass::Polynomial | MbaClass::NonPolynomial
-        ) {
-            return None;
-        }
-        let _t = self.stages.synth.time();
-        if self.config.injected_bug == Some(InjectedBug::SynthUnsoundAccept) {
-            self.synth.synthesize_unchecked(e)
-        } else {
-            self.synth.synthesize(e)
         }
     }
 
@@ -768,7 +683,6 @@ impl Simplifier {
             },
             Arc::clone(&self.sig_cache),
             Arc::clone(&self.arena),
-            Arc::clone(&self.synth),
             Arc::clone(&self.obs),
         );
         let or_solver = Simplifier::with_parts(
@@ -778,7 +692,6 @@ impl Simplifier {
             },
             Arc::clone(&self.sig_cache),
             Arc::clone(&self.arena),
-            Arc::clone(&self.synth),
             Arc::clone(&self.obs),
         );
         let and_result = and_solver.simplify_detailed(e);
@@ -1013,10 +926,6 @@ fn apply_injected_bug(bug: InjectedBug, e: &Expr) -> Expr {
         // first child's, modelling a stale intern-table entry. Nothing
         // to do at the output level.
         InjectedBug::ArenaStaleId => e.clone(),
-        // Applied inside the synthesis tier (`synthesis_step` routes to
-        // `synthesize_unchecked`, which accepts on the width-1 table
-        // alone). Nothing to do at the output level.
-        InjectedBug::SynthUnsoundAccept => e.clone(),
         // Applied inside the BDD tier (`pipeline.rs` flips the root
         // edge's complement flag between build and extraction). Nothing
         // to do at the output level.
@@ -1273,7 +1182,6 @@ mod tests {
             "core.stage.poly_reduce.micros",
             "core.stage.rewrite.micros",
             "core.stage.final_fold.micros",
-            "core.stage.synth.micros",
         ] {
             let h = snap.histogram(stage).unwrap_or_else(|| {
                 panic!("{stage} never recorded")
@@ -1436,10 +1344,6 @@ mod tests {
             // inside the arena-keyed fast path, so `x + y` collapses to
             // `x` (6 ≠ 3 at the probe valuation below).
             (InjectedBug::ArenaStaleId, "x + y"),
-            // SynthUnsoundAccept skips the synthesis tier's probe
-            // checks, so this parity-obfuscated addition comes back as
-            // the width-1 collision `x^y` (0 ≠ 6 at x=y=3).
-            (InjectedBug::SynthUnsoundAccept, "x + y + ((x*(x+1)) & 1)"),
             // BddComplementFlip complements the root edge of the BDD
             // tier's diagram, so this 13-variable negated disjunction
             // (too wide for any 2^t-row tier) comes back as the plain
@@ -1621,67 +1525,6 @@ mod tests {
         }
     }
 
-    // ------------------------------------------------------------------
-    // The enumerative synthesis tier.
-    // ------------------------------------------------------------------
-
-    /// The flagship residual family: a parity opaque zero
-    /// `(q*(q+1)) & 1 ≡ 0` needs mod-2 reasoning the algebraic tiers
-    /// lack, so the pipeline leaves it standing — and the synthesis
-    /// tier recovers the ground truth behind it.
-    #[test]
-    fn synthesis_recovers_parity_obfuscated_ground_truth() {
-        let s = Simplifier::new();
-        for (src, want) in [
-            ("x + y + ((x*(x+1)) & 1)", "x+y"),
-            ("(x & y) ^ (((x+y)*(x+y+1)) & 1)", "x&y"),
-            ("x - y + ((y*(y+1)) & 1)", "x-y"),
-        ] {
-            let e: Expr = src.parse().unwrap();
-            let d = s.simplify_detailed(&e);
-            assert_eq!(d.output.to_string(), want, "simplifying `{src}`");
-            assert_eq!(d.tier, SimplifyTier::Synthesis, "`{src}`");
-            // The substitution is an identity at every width.
-            for (x, y) in [(0u64, 0u64), (3, 5), (u64::MAX, 77), (0x1234, 42)] {
-                let v = Valuation::new().with("x", x).with("y", y);
-                for w in [1u32, 8, 32, 64] {
-                    assert_eq!(e.eval(&v, w), d.output.eval(&v, w), "`{src}` width {w}");
-                }
-            }
-        }
-    }
-
-    /// When the synthesis tier rejects (no strictly smaller verified
-    /// equivalent), outputs with the tier off must be byte-identical —
-    /// the tier is never result-changing on rejection.
-    #[test]
-    fn synthesis_off_is_byte_identical_when_rejecting() {
-        let on = Simplifier::new();
-        let off = Simplifier::with_config(SimplifyConfig {
-            use_synthesis: false,
-            ..SimplifyConfig::default()
-        });
-        for src in [
-            "x*y + 2*(x&y)",
-            "(x&y)*(x|y)",
-            "x*y*z",
-            "(x-y)|((z*z)^~x)",
-            "2*(x|y) - (~x&y) - (x&~y)",
-            "(x | 5) + (x & 5)",
-            "~(x - 1)",
-        ] {
-            let e: Expr = src.parse().unwrap();
-            let a = on.simplify_detailed(&e);
-            let b = off.simplify_detailed(&e);
-            assert_ne!(a.tier, SimplifyTier::Synthesis, "`{src}` unexpectedly accepted");
-            assert_eq!(
-                a.output.to_string(),
-                b.output.to_string(),
-                "synthesis changed output bytes for `{src}` despite rejecting"
-            );
-        }
-    }
-
     /// Tier tags are derived deterministically from who claimed the
     /// result.
     #[test]
@@ -1691,7 +1534,6 @@ mod tests {
             ("2*(x|y) - (~x&y) - (x&~y)", SimplifyTier::Linear),
             ("(x | 5) + (x & 5)", SimplifyTier::SemiLinear),
             ("(x&~y)*(~x&y) + (x&y)*(x|y)", SimplifyTier::Poly),
-            ("x + y + ((x*(x+1)) & 1)", SimplifyTier::Synthesis),
             ("x*y", SimplifyTier::Unchanged),
         ] {
             let e: Expr = src.parse().unwrap();
@@ -1699,43 +1541,6 @@ mod tests {
             assert_eq!(d.tier, want, "`{src}` -> `{}`", d.output);
         }
         assert_eq!(SimplifyTier::SemiLinear.to_string(), "semi-linear");
-        assert_eq!(SimplifyTier::Synthesis.to_string(), "synthesis");
-    }
-
-    /// Batch workers share one synthesis engine; outputs (and tiers)
-    /// stay byte-identical at any worker count even when the tier
-    /// fires.
-    #[test]
-    fn synthesis_batch_jobs_are_byte_identical() {
-        let exprs: Vec<Expr> = [
-            "x + y + ((x*(x+1)) & 1)",
-            "x*y + 2*(x&y)",
-            "(x & y) ^ (((x+y)*(x+y+1)) & 1)",
-            "x - y + ((y*(y+1)) & 1)",
-            "(x&y)*(x|y)",
-        ]
-        .iter()
-        .map(|s| s.parse().unwrap())
-        .collect();
-        let reference: Vec<(String, SimplifyTier)> = {
-            let s = Simplifier::new();
-            exprs
-                .iter()
-                .map(|e| {
-                    let d = s.simplify_detailed(e);
-                    (d.output.to_string(), d.tier)
-                })
-                .collect()
-        };
-        for jobs in [0usize, 1, 64] {
-            let s = Simplifier::new();
-            let got: Vec<(String, SimplifyTier)> = s
-                .simplify_batch_with_jobs(&exprs, jobs)
-                .iter()
-                .map(|r| (r.output.to_string(), r.tier))
-                .collect();
-            assert_eq!(got, reference, "jobs={jobs} diverged");
-        }
     }
 
     #[test]

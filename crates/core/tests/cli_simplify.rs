@@ -32,34 +32,6 @@ fn verbose_reports_category_and_alternation() {
 }
 
 #[test]
-fn synthesis_tier_is_tagged_and_gated_by_flag() {
-    // A parity opaque zero the algebraic pipeline cannot cancel: the
-    // synthesis tier recovers `x+y` and tags the result.
-    let residual = "x + y + ((x*(x+1)) & 1)";
-    let out = bin()
-        .arg("--verbose")
-        .arg(residual)
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.starts_with("x+y"), "got: {text}");
-    assert!(text.contains("tier synthesis]"), "got: {text}");
-
-    // With the tier disabled the wrapper survives and the tag says so.
-    let out = bin()
-        .arg("--verbose")
-        .arg("--no-synthesis")
-        .arg(residual)
-        .output()
-        .expect("binary runs");
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(!text.starts_with("x+y "), "got: {text}");
-    assert!(!text.contains("tier synthesis]"), "got: {text}");
-}
-
-#[test]
 fn reads_stdin_line_per_expression() {
     let mut child = bin()
         .stdin(Stdio::piped())
@@ -94,6 +66,34 @@ fn parse_errors_exit_nonzero_but_process_the_rest() {
 }
 
 #[test]
+fn line_sized_deep_inputs_are_parse_errors_not_aborts() {
+    // 60 KB lines, each far past the parser's depth budget: nested
+    // parentheses, a left-associative product chain and a unary chain.
+    for probe in [
+        format!("{}x{}", "(".repeat(30_000), ")".repeat(30_000)),
+        format!("x{}", "*x".repeat(30_000)),
+        format!("{}x", "-~".repeat(30_000)),
+    ] {
+        let mut child = bin()
+            .stdin(Stdio::piped())
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("binary spawns");
+        let mut stdin = child.stdin.take().expect("stdin piped");
+        stdin.write_all(probe.as_bytes()).expect("write");
+        stdin.write_all(b"\nx + 0\n").expect("write");
+        drop(stdin);
+        let out = child.wait_with_output().expect("binary finishes");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        // A stack overflow kills the process by signal: no exit code.
+        assert_eq!(out.status.code(), Some(1), "`{}…`: {stderr}", &probe[..8]);
+        assert!(stderr.contains("deeper than 256 levels"), "{stderr}");
+        assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "x");
+    }
+}
+
+#[test]
 fn help_flag_succeeds() {
     let out = bin().arg("--help").output().expect("binary runs");
     assert!(out.status.success());
@@ -103,10 +103,6 @@ fn help_flag_succeeds() {
     assert!(
         help.contains("--no-cache"),
         "help must document --no-cache: {help}"
-    );
-    assert!(
-        help.contains("--no-synthesis"),
-        "help must document --no-synthesis: {help}"
     );
 }
 

@@ -81,12 +81,3 @@ fn golden_output_is_stable_under_jobs_and_no_cache() {
     check_snapshot(&["--jobs", "2", "--no-cache"], "expected.txt");
     check_snapshot(&["--verbose", "--jobs", "4"], "expected_verbose.txt");
 }
-
-#[test]
-fn golden_plain_output_is_stable_without_synthesis() {
-    // None of the ten golden inputs is a synthesis residual, so
-    // disabling the tier must be byte-invisible here (the snapshot
-    // pins the on/off agreement the synth-differential CI job checks
-    // property-style).
-    check_snapshot(&["--no-synthesis"], "expected.txt");
-}

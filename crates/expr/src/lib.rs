@@ -44,5 +44,5 @@ pub use ast::{BinOp, Expr, Ident, OpDomain, UnOp};
 pub use classify::MbaClass;
 pub use eval::{mask, UnboundVariableError, Valuation};
 pub use metrics::Metrics;
-pub use parser::{parse, ParseExprError};
-pub use program::{engine_stats, row_bit_pattern, EngineStats, EvalProgram, WIDE_LANES};
+pub use parser::{parse, ParseExprError, MAX_DEPTH};
+pub use program::{engine_stats, row_bit_pattern, EngineStats, EvalProgram};

@@ -18,11 +18,24 @@
 //! so `x & y + 1` parses as `x & (y + 1)`, exactly as it would in Python.
 //! Numbers may be decimal or hexadecimal (`0x1f`). Identifiers are
 //! `[A-Za-z_][A-Za-z0-9_]*`.
+//!
+//! Every later stage (printer, evaluator, simplifier, drop) walks the
+//! tree recursively, so the parser refuses to build a tree deeper than
+//! [`MAX_DEPTH`] — whether the depth comes from parentheses, unary
+//! chains or left-associative operator chains. The check runs while the
+//! tree is built, so an over-deep input costs one parse error, never a
+//! stack overflow.
 
 use std::fmt;
 use std::str::FromStr;
 
 use crate::ast::{BinOp, Expr, UnOp};
+
+/// Deepest tree (a leaf has depth 1, as in [`Expr::depth`]) and deepest
+/// parenthesis nesting the parser accepts. Benchmark inputs and outputs
+/// stay under depth 40; a depth-1000 tree still simplifies on a 2 MiB
+/// thread stack, so 256 leaves headroom on both sides.
+pub const MAX_DEPTH: usize = 256;
 
 /// An error produced when parsing an MBA expression.
 ///
@@ -64,7 +77,8 @@ impl std::error::Error for ParseExprError {}
 /// # Errors
 ///
 /// Returns [`ParseExprError`] on empty input, unbalanced parentheses,
-/// malformed numbers, or trailing garbage.
+/// malformed numbers, trailing garbage, or a tree deeper than
+/// [`MAX_DEPTH`].
 ///
 /// ```
 /// use mba_expr::parse;
@@ -75,7 +89,7 @@ impl std::error::Error for ParseExprError {}
 /// ```
 pub fn parse(input: &str) -> Result<Expr, ParseExprError> {
     let mut p = Parser::new(input);
-    let e = p.parse_or()?;
+    let (e, _) = p.parse_or()?;
     p.skip_ws();
     if p.pos < p.bytes.len() {
         return Err(ParseExprError::new(
@@ -94,9 +108,14 @@ impl FromStr for Expr {
     }
 }
 
+/// A subtree and its depth.
+type Built = (Expr, usize);
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Open parentheses around the current position.
+    parens: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -104,7 +123,26 @@ impl<'a> Parser<'a> {
         Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            parens: 0,
         }
+    }
+
+    /// Checks a depth against [`MAX_DEPTH`] before the node is built.
+    fn budget(&self, depth: usize) -> Result<usize, ParseExprError> {
+        if depth > MAX_DEPTH {
+            Err(ParseExprError::new(
+                self.pos,
+                format!("expression nests deeper than {MAX_DEPTH} levels"),
+            ))
+        } else {
+            Ok(depth)
+        }
+    }
+
+    /// Builds `lhs op rhs`, refusing a result deeper than [`MAX_DEPTH`].
+    fn binary(&self, op: BinOp, (a, da): Built, (b, db): Built) -> Result<Built, ParseExprError> {
+        let depth = self.budget(1 + da.max(db))?;
+        Ok((Expr::binary(op, a, b), depth))
     }
 
     fn peek(&self) -> Option<u8> {
@@ -132,97 +170,102 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn parse_or(&mut self) -> Result<Expr, ParseExprError> {
+    fn parse_or(&mut self) -> Result<Built, ParseExprError> {
         let mut lhs = self.parse_xor()?;
         while self.eat(b'|') {
             let rhs = self.parse_xor()?;
-            lhs = Expr::binary(BinOp::Or, lhs, rhs);
+            lhs = self.binary(BinOp::Or, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_xor(&mut self) -> Result<Expr, ParseExprError> {
+    fn parse_xor(&mut self) -> Result<Built, ParseExprError> {
         let mut lhs = self.parse_and()?;
         while self.eat(b'^') {
             let rhs = self.parse_and()?;
-            lhs = Expr::binary(BinOp::Xor, lhs, rhs);
+            lhs = self.binary(BinOp::Xor, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_and(&mut self) -> Result<Expr, ParseExprError> {
+    fn parse_and(&mut self) -> Result<Built, ParseExprError> {
         let mut lhs = self.parse_sum()?;
         while self.eat(b'&') {
             let rhs = self.parse_sum()?;
-            lhs = Expr::binary(BinOp::And, lhs, rhs);
+            lhs = self.binary(BinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_sum(&mut self) -> Result<Expr, ParseExprError> {
+    fn parse_sum(&mut self) -> Result<Built, ParseExprError> {
         let mut lhs = self.parse_prod()?;
         loop {
             self.skip_ws();
-            match self.peek() {
-                Some(b'+') => {
-                    self.pos += 1;
-                    let rhs = self.parse_prod()?;
-                    lhs = Expr::binary(BinOp::Add, lhs, rhs);
-                }
-                Some(b'-') => {
-                    self.pos += 1;
-                    let rhs = self.parse_prod()?;
-                    lhs = Expr::binary(BinOp::Sub, lhs, rhs);
-                }
+            let op = match self.peek() {
+                Some(b'+') => BinOp::Add,
+                Some(b'-') => BinOp::Sub,
                 _ => return Ok(lhs),
-            }
+            };
+            self.pos += 1;
+            let rhs = self.parse_prod()?;
+            lhs = self.binary(op, lhs, rhs)?;
         }
     }
 
-    fn parse_prod(&mut self) -> Result<Expr, ParseExprError> {
+    fn parse_prod(&mut self) -> Result<Built, ParseExprError> {
         let mut lhs = self.parse_unary()?;
         while self.eat(b'*') {
             let rhs = self.parse_unary()?;
-            lhs = Expr::binary(BinOp::Mul, lhs, rhs);
+            lhs = self.binary(BinOp::Mul, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn parse_unary(&mut self) -> Result<Expr, ParseExprError> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'-') => {
-                self.pos += 1;
-                let inner = self.parse_unary()?;
+    /// A prefix chain is read in a loop, not by recursion, then applied
+    /// innermost first so the depth check sees each node before it is
+    /// built.
+    fn parse_unary(&mut self) -> Result<Built, ParseExprError> {
+        let mut ops = Vec::new();
+        loop {
+            self.skip_ws();
+            match self.peek() {
+                Some(b'-') => ops.push(UnOp::Neg),
+                Some(b'~') => ops.push(UnOp::Not),
+                _ => break,
+            }
+            self.pos += 1;
+        }
+        let (mut e, mut depth) = self.parse_atom()?;
+        for op in ops.into_iter().rev() {
+            e = match (op, e) {
                 // Fold `-CONST` into a negative literal so that
                 // round-tripping preserves the tree shape.
-                Ok(match inner {
-                    Expr::Const(c) => Expr::Const(-c),
-                    other => Expr::unary(UnOp::Neg, other),
-                })
-            }
-            Some(b'~') => {
-                self.pos += 1;
-                let inner = self.parse_unary()?;
-                Ok(Expr::unary(UnOp::Not, inner))
-            }
-            _ => self.parse_atom(),
+                (UnOp::Neg, Expr::Const(c)) => Expr::Const(-c),
+                (op, inner) => {
+                    depth = self.budget(depth + 1)?;
+                    Expr::unary(op, inner)
+                }
+            };
         }
+        Ok((e, depth))
     }
 
-    fn parse_atom(&mut self) -> Result<Expr, ParseExprError> {
+    fn parse_atom(&mut self) -> Result<Built, ParseExprError> {
         self.skip_ws();
         match self.peek() {
             Some(b'(') => {
+                self.budget(self.parens + 1)?;
                 self.pos += 1;
+                self.parens += 1;
                 let inner = self.parse_or()?;
+                self.parens -= 1;
                 if !self.eat(b')') {
                     return Err(ParseExprError::new(self.pos, "expected `)`"));
                 }
                 Ok(inner)
             }
-            Some(b) if b.is_ascii_digit() => self.parse_number(),
-            Some(b) if b.is_ascii_alphabetic() || b == b'_' => self.parse_ident(),
+            Some(b) if b.is_ascii_digit() => Ok((self.parse_number()?, 1)),
+            Some(b) if b.is_ascii_alphabetic() || b == b'_' => Ok((self.parse_ident(), 1)),
             Some(_) => Err(ParseExprError::new(
                 self.pos,
                 format!("expected expression, found `{}`", self.peek_char()),
@@ -258,7 +301,7 @@ impl<'a> Parser<'a> {
         Ok(Expr::Const(value))
     }
 
-    fn parse_ident(&mut self) -> Result<Expr, ParseExprError> {
+    fn parse_ident(&mut self) -> Expr {
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b.is_ascii_alphanumeric() || b == b'_' {
@@ -268,7 +311,7 @@ impl<'a> Parser<'a> {
             }
         }
         let name = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        Ok(Expr::var(name))
+        Expr::var(name)
     }
 }
 
@@ -350,6 +393,62 @@ mod tests {
     fn error_positions_point_at_offender() {
         let err = "x @ y".parse::<Expr>().unwrap_err();
         assert_eq!(err.position(), 2);
+    }
+
+    /// Inputs of tree depth exactly `depth`, one per way of nesting:
+    /// parentheses around a right-leaning sum, a unary chain, a
+    /// left-associative product chain, and redundant parentheses.
+    fn nested(depth: usize) -> [String; 4] {
+        [
+            format!("{}x{}", "(x+".repeat(depth - 1), ")".repeat(depth - 1)),
+            format!("{}x", "-~".repeat(depth).split_at(depth - 1).0),
+            format!("x{}", "*x".repeat(depth - 1)),
+            format!("{}x{}", "(".repeat(depth), ")".repeat(depth)),
+        ]
+    }
+
+    #[test]
+    fn depth_budget_admits_max_depth() {
+        for src in nested(super::MAX_DEPTH) {
+            let e: Expr = src.parse().unwrap();
+            assert!(e.depth() <= super::MAX_DEPTH, "`{}…`", &src[..8]);
+        }
+        // The first three shapes hit the budget exactly.
+        for src in &nested(super::MAX_DEPTH)[..3] {
+            assert_eq!(src.parse::<Expr>().unwrap().depth(), super::MAX_DEPTH);
+        }
+    }
+
+    #[test]
+    fn depth_budget_rejects_one_more_level() {
+        for src in nested(super::MAX_DEPTH + 1) {
+            let err = src.parse::<Expr>().unwrap_err();
+            assert!(
+                err.to_string().contains("deeper than 256 levels"),
+                "`{}…`: {err}",
+                &src[..8]
+            );
+        }
+    }
+
+    #[test]
+    fn depth_budget_rejects_line_sized_inputs_without_recursing() {
+        // 60 KB lines, well past any stack a recursive walk could
+        // survive; each must come back as a plain error.
+        for src in [
+            format!("{}x{}", "(".repeat(30_000), ")".repeat(30_000)),
+            format!("x{}", "*x".repeat(30_000)),
+            format!("{}x", "-~".repeat(30_000)),
+            format!("{}x", "~".repeat(60_000)),
+        ] {
+            assert!(src.parse::<Expr>().is_err(), "`{}…` parsed", &src[..8]);
+        }
+    }
+
+    #[test]
+    fn negation_chains_of_constants_fold_without_depth() {
+        let src = format!("{}5", "-".repeat(10_000));
+        assert_eq!(src.parse::<Expr>().unwrap(), Expr::Const(5));
     }
 
     #[test]

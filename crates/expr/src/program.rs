@@ -41,12 +41,6 @@ use crate::eval::{mask, UnboundVariableError, Valuation};
 /// the tape dispatch and keep the per-op inner loops vectorizable.
 const CHUNK: usize = 64;
 
-/// `u64` lanes of one wide bit-parallel pass
-/// ([`EvalProgram::eval_bits_wide`]): 4 × 64 = 256 boolean rows per
-/// pass. W = 4 keeps the per-op inner loops at one 256-bit vector op
-/// after autovectorization while the operand stack stays in L1.
-pub const WIDE_LANES: usize = 4;
-
 /// One instruction of the flat post-order tape (a stack machine:
 /// leaves push, unary ops rewrite the top, binary ops pop one and
 /// rewrite the new top).
@@ -67,7 +61,6 @@ enum Op {
 static TAPE_COMPILES: AtomicU64 = AtomicU64::new(0);
 static BIT_PASSES: AtomicU64 = AtomicU64::new(0);
 static BIT_ROWS: AtomicU64 = AtomicU64::new(0);
-static WIDE_PASSES: AtomicU64 = AtomicU64::new(0);
 static BATCH_PASSES: AtomicU64 = AtomicU64::new(0);
 static BATCH_ROWS: AtomicU64 = AtomicU64::new(0);
 
@@ -82,9 +75,6 @@ pub struct EngineStats {
     pub bit_parallel_passes: u64,
     /// Boolean rows computed bit-parallel (64 × passes).
     pub bit_parallel_rows: u64,
-    /// Wide bit-parallel tape passes (each computes
-    /// `64 × WIDE_LANES = 256` boolean rows).
-    pub wide_passes: u64,
     /// SoA batch tape passes (one per chunk of lanes).
     pub batch_passes: u64,
     /// Full-width lanes evaluated by batch passes.
@@ -97,7 +87,6 @@ pub fn engine_stats() -> EngineStats {
         tape_compiles: TAPE_COMPILES.load(Ordering::Relaxed),
         bit_parallel_passes: BIT_PASSES.load(Ordering::Relaxed),
         bit_parallel_rows: BIT_ROWS.load(Ordering::Relaxed),
-        wide_passes: WIDE_PASSES.load(Ordering::Relaxed),
         batch_passes: BATCH_PASSES.load(Ordering::Relaxed),
         batch_rows: BATCH_ROWS.load(Ordering::Relaxed),
     }
@@ -289,78 +278,6 @@ impl EvalProgram {
         }
         BIT_PASSES.fetch_add(1, Ordering::Relaxed);
         BIT_ROWS.fetch_add(64, Ordering::Relaxed);
-        stack[0]
-    }
-
-    /// **Wide bit-parallel boolean evaluation**: one tape pass computes
-    /// the expression at width 1 on `64 × WIDE_LANES = 256` independent
-    /// lanes.
-    ///
-    /// Semantically this is [`EvalProgram::eval_bits`] run
-    /// [`WIDE_LANES`] times — `var_blocks[n][w]` packs samples
-    /// `64·w .. 64·w + 64` of variable `vars()[n]`, and word `w` of the
-    /// result equals `eval_bits` of the `w`-th column of words — but
-    /// one pass pays the tape dispatch once per block instead of once
-    /// per word, and the fixed-size per-op inner loops autovectorize
-    /// into full-register SIMD ops. This is the workhorse of the
-    /// enumerative synthesis tier, which screens thousands of candidate
-    /// truth tables per target.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var_blocks.len() != self.vars().len()`.
-    pub fn eval_bits_wide(&self, var_blocks: &[[u64; WIDE_LANES]]) -> [u64; WIDE_LANES] {
-        assert_eq!(
-            var_blocks.len(),
-            self.vars.len(),
-            "one pattern block per variable slot"
-        );
-        let mut stack = vec![[0u64; WIDE_LANES]; self.max_stack];
-        let mut top = 0usize; // next free slot
-        for op in &self.ops {
-            match op {
-                Op::Const(c) => {
-                    let v = if c & 1 == 1 { u64::MAX } else { 0 };
-                    stack[top] = [v; WIDE_LANES];
-                    top += 1;
-                }
-                Op::Var(n) => {
-                    stack[top] = var_blocks[*n as usize];
-                    top += 1;
-                }
-                Op::Unary(op) => {
-                    let x = &mut stack[top - 1];
-                    match op {
-                        UnOp::Neg => {} // -x ≡ x (mod 2)
-                        UnOp::Not => x.iter_mut().for_each(|w| *w = !*w),
-                    }
-                }
-                Op::Binary(op) => {
-                    let y = stack[top - 1];
-                    top -= 1;
-                    let x = &mut stack[top - 1];
-                    match op {
-                        BinOp::Add | BinOp::Sub | BinOp::Xor => {
-                            for w in 0..WIDE_LANES {
-                                x[w] ^= y[w];
-                            }
-                        }
-                        BinOp::Mul | BinOp::And => {
-                            for w in 0..WIDE_LANES {
-                                x[w] &= y[w];
-                            }
-                        }
-                        BinOp::Or => {
-                            for w in 0..WIDE_LANES {
-                                x[w] |= y[w];
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        WIDE_PASSES.fetch_add(1, Ordering::Relaxed);
-        BIT_ROWS.fetch_add(64 * WIDE_LANES as u64, Ordering::Relaxed);
         stack[0]
     }
 
@@ -604,28 +521,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_matches_narrow_eval_bits_per_word() {
-        let e: Expr = "(x & ~y) + y - 2*(x | z) * ~z".parse().unwrap();
-        let p = EvalProgram::compile(&e);
-        // Blocks 0..WIDE_LANES of the 3-variable truth-table binding:
-        // word w of the wide result must equal eval_bits of block w.
-        let blocks: Vec<[u64; WIDE_LANES]> = (0..3u32)
-            .map(|v| {
-                let mut b = [0u64; WIDE_LANES];
-                for (w, word) in b.iter_mut().enumerate() {
-                    *word = row_bit_pattern(2 - v, w);
-                }
-                b
-            })
-            .collect();
-        let wide = p.eval_bits_wide(&blocks);
-        for w in 0..WIDE_LANES {
-            let words: Vec<u64> = blocks.iter().map(|b| b[w]).collect();
-            assert_eq!(wide[w], p.eval_bits(&words), "word {w}");
-        }
-    }
-
-    #[test]
     fn row_bit_patterns() {
         // p < 6: fixed alternating masks.
         assert_eq!(row_bit_pattern(0, 0), 0xaaaa_aaaa_aaaa_aaaa);
@@ -682,13 +577,11 @@ mod tests {
         let before = engine_stats();
         let p = EvalProgram::compile(&"x ^ y".parse().unwrap());
         p.eval_bits(&[0, u64::MAX]);
-        p.eval_bits_wide(&[[0; WIDE_LANES], [u64::MAX; WIDE_LANES]]);
         p.eval_valuations(&[v(&[("x", 1), ("y", 2)])], 8).unwrap();
         let after = engine_stats();
         assert!(after.tape_compiles > before.tape_compiles);
         assert!(after.bit_parallel_passes > before.bit_parallel_passes);
         assert!(after.bit_parallel_rows >= before.bit_parallel_rows + 64);
-        assert!(after.wide_passes > before.wide_passes);
         assert!(after.batch_passes > before.batch_passes);
         assert!(after.batch_rows > before.batch_rows);
     }

@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! mba_serve [--addr HOST:PORT] [--workers N] [--queue-capacity N]
-//!           [--max-line-bytes N] [--no-synthesis] [--thread-io]
-//!           [--cache-budget N] [--cache-snapshot PATH]
+//!           [--max-line-bytes N] [--thread-io] [--cache-budget N]
+//!           [--cache-snapshot PATH]
 //! ```
 //!
 //! Prints `listening on <addr>` once the socket is bound (port 0 is
@@ -22,8 +22,7 @@ use mba_serve::{ServeMode, Server, ServerConfig};
 
 fn usage() -> String {
     "usage: mba_serve [--addr HOST:PORT] [--workers N] [--queue-capacity N] \
-     [--max-line-bytes N] [--no-synthesis] [--thread-io] [--cache-budget N] \
-     [--cache-snapshot PATH]"
+     [--max-line-bytes N] [--thread-io] [--cache-budget N] [--cache-snapshot PATH]"
         .to_string()
 }
 
@@ -54,7 +53,6 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
                     return Err("--max-line-bytes must be at least 64".into());
                 }
             }
-            "--no-synthesis" => config.use_synthesis = false,
             "--thread-io" => config.mode = ServeMode::ThreadPerConnection,
             "--cache-budget" => {
                 let budget: usize = parse_num(take("--cache-budget")?)?;

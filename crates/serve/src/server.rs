@@ -112,10 +112,6 @@ pub struct ServerConfig {
     /// simplifying, to make queue-overflow behaviour deterministic in
     /// tests. Always `None` in production configurations.
     pub worker_delay: Option<Duration>,
-    /// Whether the per-width simplifiers run the enumerative synthesis
-    /// tier on residual expressions. On by default; `--no-synthesis`
-    /// turns it off for latency-sensitive deployments.
-    pub use_synthesis: bool,
     /// Connection I/O mode; defaults to the reactor where available.
     pub mode: ServeMode,
     /// Signature-cache entry budget; `None` disables eviction. The
@@ -139,7 +135,6 @@ impl Default for ServerConfig {
             queue_capacity: 256,
             max_line_bytes: MAX_LINE_BYTES,
             worker_delay: None,
-            use_synthesis: true,
             mode: ServeMode::default(),
             cache_budget: Some(DEFAULT_CACHE_BUDGET),
             cache_snapshot: None,
@@ -192,9 +187,6 @@ pub struct ServerState {
     /// Width changes the coefficient ring, so results are width-keyed;
     /// the signature layer underneath is width-generic and shared.
     simplifiers: RwLock<HashMap<u32, Arc<Simplifier>>>,
-    /// Whether freshly built simplifiers enable the synthesis tier
-    /// (frozen at bind time from [`ServerConfig::use_synthesis`]).
-    use_synthesis: bool,
     shutting_down: AtomicBool,
     /// Process-wide metrics registry; per-width simplifiers record
     /// their stage spans here, so `stats` can break serving time down
@@ -222,7 +214,6 @@ impl ServerState {
         ServerState {
             sig_cache: Arc::new(sig_cache),
             simplifiers: RwLock::new(HashMap::new()),
-            use_synthesis: config.use_synthesis,
             shutting_down: AtomicBool::new(false),
             counters: Counters::resolve(&obs),
             queue_wait: obs.histogram("serve.queue.wait.micros"),
@@ -274,7 +265,6 @@ impl ServerState {
             Arc::new(Simplifier::with_metrics(
                 SimplifyConfig {
                     width,
-                    use_synthesis: self.use_synthesis,
                     ..SimplifyConfig::default()
                 },
                 Arc::clone(&self.sig_cache),

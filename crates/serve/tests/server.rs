@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use mba_serve::{server, Client, ServerConfig};
+use mba_serve::{server, Client, ServeMode, ServerConfig};
 
 fn harness(config: ServerConfig) -> (std::net::SocketAddr, server::ServerHandle) {
     server::spawn("127.0.0.1:0", config).expect("spawn server")
@@ -37,33 +37,6 @@ fn serves_the_papers_examples_end_to_end() {
         assert!(r.field("micros").is_some());
         assert!(r.field("cache_hit_rate").is_some());
     }
-    client.shutdown().unwrap();
-    handle.join().unwrap().unwrap();
-}
-
-#[test]
-fn synthesis_tier_is_served_by_default_and_gated_by_config() {
-    // A parity opaque zero ((x*(x+1)) & 1 ≡ 0) keeps the expression
-    // outside the algebraic pipeline's reach; only the synthesis tier
-    // recovers `x+y`. With `use_synthesis: false` the server must leave
-    // the residual unreduced rather than guess.
-    let residual = "x + y + ((x*(x+1)) & 1)";
-    let (addr, handle) = harness(ServerConfig::default());
-    let mut client = connect(addr);
-    let r = client.simplify(0, residual, 64, None).unwrap();
-    assert_eq!(r.str_field("simplified"), Some("x+y"), "{}", r.raw);
-    client.shutdown().unwrap();
-    handle.join().unwrap().unwrap();
-
-    let config = ServerConfig {
-        use_synthesis: false,
-        ..ServerConfig::default()
-    };
-    let (addr, handle) = harness(config);
-    let mut client = connect(addr);
-    let r = client.simplify(0, residual, 64, None).unwrap();
-    assert!(r.is_ok(), "{}", r.raw);
-    assert_ne!(r.str_field("simplified"), Some("x+y"), "{}", r.raw);
     client.shutdown().unwrap();
     handle.join().unwrap().unwrap();
 }
@@ -439,4 +412,40 @@ fn shutdown_under_concurrent_load_answers_every_accepted_request_once() {
     });
 
     handle.join().unwrap().unwrap();
+}
+
+#[test]
+fn line_sized_deep_expressions_are_rejected_in_both_io_modes() {
+    // 60 KB expressions, each inside the 64 KiB line cap and far past
+    // the parser's depth budget: nested parentheses, a left-associative
+    // product chain and a unary chain. Each must come back as an error
+    // naming the limit, and the connection must keep serving.
+    let probes = [
+        format!("{}x{}", "(".repeat(30_000), ")".repeat(30_000)),
+        format!("x{}", "*x".repeat(30_000)),
+        format!("{}x", "-~".repeat(30_000)),
+    ];
+    for mode in [ServeMode::Reactor, ServeMode::ThreadPerConnection] {
+        let (addr, handle) = harness(ServerConfig {
+            mode,
+            workers: 2,
+            ..ServerConfig::default()
+        });
+        let mut client = connect(addr);
+        for (id, probe) in probes.iter().enumerate() {
+            let r = client.simplify(id as u64, probe, 64, None).unwrap();
+            assert_eq!(r.error(), Some("invalid"), "{mode:?}: {}", r.raw);
+            assert!(
+                r.raw.contains("deeper than 256 levels"),
+                "{mode:?}: {}",
+                r.raw
+            );
+            assert_eq!(r.id(), Some(id as u64));
+        }
+        let r = client.simplify(9, "x + y - 2*(x&y)", 64, None).unwrap();
+        assert_eq!(r.str_field("simplified"), Some("x^y"), "{mode:?}: {}", r.raw);
+        let ack = client.shutdown().unwrap();
+        assert_eq!(ack.str_field("ok"), Some("shutdown"), "{mode:?}");
+        handle.join().unwrap().unwrap();
+    }
 }

@@ -752,8 +752,7 @@ pub fn publish_arena_metrics(arena: &ExprArena, registry: &mba_obs::MetricsRegis
 /// Mirrors the batch evaluation engine's process-global counters
 /// ([`mba_expr::engine_stats`]) into `registry` as gauges:
 /// `eval.tape_compiles`, `eval.bitparallel.passes`,
-/// `eval.bitparallel.rows`, `eval.wide_passes`, `eval.batch.passes`,
-/// `eval.batch.rows`.
+/// `eval.bitparallel.rows`, `eval.batch.passes`, `eval.batch.rows`.
 /// Like [`SigCache::publish_metrics`] (which includes this), it is a
 /// snapshot-point mirror, not a hot-path instrument — `mba-expr` keeps
 /// its own atomics and has no `mba-obs` dependency, so the bridge
@@ -767,7 +766,6 @@ pub fn publish_eval_engine_metrics(registry: &mba_obs::MetricsRegistry) {
     registry
         .gauge("eval.bitparallel.rows")
         .set(s.bit_parallel_rows as i64);
-    registry.gauge("eval.wide_passes").set(s.wide_passes as i64);
     registry.gauge("eval.batch.passes").set(s.batch_passes as i64);
     registry.gauge("eval.batch.rows").set(s.batch_rows as i64);
 }
@@ -954,19 +952,6 @@ mod tests {
         // published gauges must be non-zero.
         assert!(snap.gauge("eval.tape_compiles") >= 1);
         assert!(snap.gauge("eval.bitparallel.rows") >= 1);
-    }
-
-    #[test]
-    fn wide_pass_counter_bridges_into_eval_gauges() {
-        let e: Expr = "x ^ y".parse().unwrap();
-        let program = mba_expr::EvalProgram::compile(&e);
-        program.eval_bits_wide(&[[0; mba_expr::WIDE_LANES]; 2]);
-        let reg = mba_obs::MetricsRegistry::new();
-        publish_eval_engine_metrics(&reg);
-        let snap = reg.snapshot();
-        assert!(snap.gauge("eval.wide_passes") >= 1);
-        // A wide pass contributes its 256 rows to the shared row gauge.
-        assert!(snap.gauge("eval.bitparallel.rows") >= 256);
     }
 
     #[test]

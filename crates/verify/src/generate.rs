@@ -43,7 +43,7 @@ pub enum CaseKind {
     /// Non-polynomial MBA obfuscation of a known target.
     NonPolynomial,
     /// Residual obfuscation of a known target: parity opaque zeros the
-    /// algebraic pipeline cannot cancel, exercising the synthesis tier.
+    /// algebraic pipeline cannot cancel, so outputs stay non-linear.
     Residual,
     /// Redundancy-inflated pure-bitwise chain over 13–16 variables,
     /// past the truth-table caps: exercises the BDD tiers.

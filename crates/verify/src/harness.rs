@@ -4,7 +4,7 @@
 //! `(seed, index)`), runs it through the simplifier's entry points —
 //! the shared cache-on path, a cache-off path, the batch path, and
 //! (when no bug is injected) a fast-path-off path, an arena-off path,
-//! a synthesis-off path, and a BDD-off path — and then interrogates
+//! and a BDD-off path — and then interrogates
 //! the results:
 //!
 //! * all outputs must be **byte-identical** (the PR-1 invariant:
@@ -53,11 +53,6 @@ pub enum SimplifyPath {
     /// Configuration with `use_arena: false` — the tree-walking route,
     /// pinning the hash-consed arena's byte-identity contract.
     NoArena,
-    /// Configuration with `use_synthesis: false` — pinning the
-    /// synthesis tier's contract that a *rejection* is byte-invisible
-    /// (the comparison is skipped when the cached result's tier is
-    /// `Synthesis`, where divergence is the point).
-    NoSynth,
     /// Configuration with `use_bdd: false` — pinning the BDD
     /// canonicalization tier's contract that results it never touched
     /// are byte-identical (the comparison is skipped when the cached
@@ -73,7 +68,6 @@ impl std::fmt::Display for SimplifyPath {
             SimplifyPath::Batch => "batch",
             SimplifyPath::NoSimba => "nosimba",
             SimplifyPath::NoArena => "noarena",
-            SimplifyPath::NoSynth => "nosynth",
             SimplifyPath::NoBdd => "nobdd",
         })
     }
@@ -222,7 +216,6 @@ pub struct Fuzzer {
     uncached: Simplifier,
     nosimba: Simplifier,
     noarena: Simplifier,
-    nosynth: Simplifier,
     nobdd: Simplifier,
 }
 
@@ -271,15 +264,6 @@ impl Fuzzer {
             Arc::new(SigCache::new()),
             Arc::clone(&obs),
         );
-        let nosynth = Simplifier::with_metrics(
-            SimplifyConfig {
-                use_synthesis: false,
-                use_cache: true,
-                ..config.simplify.clone()
-            },
-            Arc::new(SigCache::new()),
-            Arc::clone(&obs),
-        );
         let nobdd = Simplifier::with_metrics(
             SimplifyConfig {
                 use_bdd: false,
@@ -297,7 +281,6 @@ impl Fuzzer {
             uncached,
             nosimba,
             noarena,
-            nosynth,
             nobdd,
         }
     }
@@ -428,8 +411,7 @@ impl Fuzzer {
         stats: &mut OracleStats,
     ) -> CaseOutcome {
         let cached = self.cached.simplify_detailed(&case.expr);
-        let (cached_out, cached_tier, cached_used_bdd) =
-            (cached.output, cached.tier, cached.used_bdd);
+        let (cached_out, cached_used_bdd) = (cached.output, cached.used_bdd);
         let uncached_out = self.uncached.simplify_detailed(&case.expr).output;
         let mut rng = self.oracle_rng(case.index);
 
@@ -471,18 +453,6 @@ impl Fuzzer {
                 DiscrepancyKind::PathDivergence {
                     left: SimplifyPath::Cached,
                     right: SimplifyPath::NoArena,
-                },
-            ))
-        } else if self.check_nosynth()
-            && cached_tier != mba_solver::SimplifyTier::Synthesis
-            && cached_out != self.nosynth.simplify_detailed(&case.expr).output
-        {
-            Some((
-                case.clone(),
-                cached_out.clone(),
-                DiscrepancyKind::PathDivergence {
-                    left: SimplifyPath::Cached,
-                    right: SimplifyPath::NoSynth,
                 },
             ))
         } else if self.check_nobdd()
@@ -555,17 +525,6 @@ impl Fuzzer {
         self.config.simplify.injected_bug.is_none() && self.config.simplify.use_arena
     }
 
-    /// Whether the synthesis-off comparison runs. Same reasoning as
-    /// [`Fuzzer::check_nosimba`]: `SynthUnsoundAccept` corrupts only
-    /// the synthesis route by design. The caller additionally skips
-    /// the comparison when the cached tier is `Synthesis` — an
-    /// *accepted* synthesis is supposed to differ from the
-    /// synthesis-off output (and is held to the equivalence oracle
-    /// instead); only a *rejection* must be byte-invisible.
-    fn check_nosynth(&self) -> bool {
-        self.config.simplify.injected_bug.is_none() && self.config.simplify.use_synthesis
-    }
-
     /// Whether the BDD-off comparison runs. Same reasoning as
     /// [`Fuzzer::check_nosimba`]: `BddComplementFlip` corrupts only
     /// the BDD route by design. The caller additionally skips the
@@ -606,7 +565,6 @@ impl Fuzzer {
                 let simplify = self.config.simplify.clone();
                 let with_nosimba = self.check_nosimba();
                 let with_noarena = self.check_noarena();
-                let with_nosynth = self.check_nosynth();
                 let with_nobdd = self.check_nobdd();
                 Box::new(move |e: &Expr| {
                     // Fresh cache-on instance per probe so stale cache
@@ -642,16 +600,6 @@ impl Fuzzer {
                             ..simplify.clone()
                         });
                         if noarena.simplify_detailed(e).output != a {
-                            return true;
-                        }
-                    }
-                    if with_nosynth && detailed.tier != mba_solver::SimplifyTier::Synthesis {
-                        let nosynth = Simplifier::with_config(SimplifyConfig {
-                            use_synthesis: false,
-                            use_cache: true,
-                            ..simplify.clone()
-                        });
-                        if nosynth.simplify_detailed(e).output != a {
                             return true;
                         }
                     }

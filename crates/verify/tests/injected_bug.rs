@@ -84,19 +84,6 @@ fn arena_stale_id_is_caught_and_shrinks_to_three_nodes() {
 }
 
 #[test]
-fn synth_unsound_accept_is_caught_and_shrinks_to_five_nodes() {
-    // Makes the synthesis tier accept on a width-1 truth-table match
-    // alone, skipping the probe vector and the probe re-verification —
-    // exactly what a signature scheme without full-width probes would
-    // do. `x^y` and `x+y` collide at width 1, so the unchecked accept
-    // substitutes a non-equivalent "improvement". Shrinking bottoms
-    // out at a small arithmetic expression whose width-1 table has a
-    // cheaper non-equivalent representative (e.g. `x^z-x`, whose
-    // carry-free table collides with `z`-like candidates).
-    assert_caught_and_shrunk(InjectedBug::SynthUnsoundAccept, 5);
-}
-
-#[test]
 fn bdd_complement_flip_is_caught_and_shrunk() {
     // Flips the complement bit on the ROBDD root between build and
     // extraction — the canonical "forgot to normalize the complement
